@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spamer/internal/harness"
+	"spamer/internal/workloads"
 )
 
 // TestRunSpecsParallelMatchesSequential: the pooled runner reproduces
@@ -56,6 +58,30 @@ func TestRunSpecsParallelIsolatesFailures(t *testing.T) {
 		t.Fatalf("spec 1 should have failed: %+v", results[1])
 	}
 	if results[2].Err != nil || len(results[2].Outcomes) != 1 {
+		t.Fatalf("spec 2: %+v", results[2])
+	}
+}
+
+// TestRunSpecsParallelContainsProcPanic: a panic raised inside a
+// simulated process body — here Compute scheduling past the end of the
+// tick range — fails only its own spec. The panic reaches the harness
+// worker that runs the kernel, which records it as the run's error,
+// and the rest of the batch completes.
+func TestRunSpecsParallelContainsProcPanic(t *testing.T) {
+	overflow := &workloads.Shape{Stages: 2, Messages: 2, ConsWork: ^uint64(0)}
+	specs := []Spec{
+		{Benchmark: "ping-pong", Algorithms: []string{"vl"}},
+		{Shape: overflow, Algorithms: []string{"vl"}},
+		{Benchmark: "firewall", Algorithms: []string{"vl", "tuned"}},
+	}
+	results := RunSpecsParallel(context.Background(), specs, harness.Options{Workers: 2})
+	if results[0].Err != nil || len(results[0].Outcomes) != 1 {
+		t.Fatalf("spec 0: %+v", results[0])
+	}
+	if err := results[1].Err; err == nil || !strings.Contains(err.Error(), "panic: sim: scheduling event") {
+		t.Fatalf("spec 1: want the body's scheduling panic as its error, got %+v", results[1])
+	}
+	if results[2].Err != nil || len(results[2].Outcomes) != 2 {
 		t.Fatalf("spec 2: %+v", results[2])
 	}
 }

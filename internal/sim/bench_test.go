@@ -89,7 +89,7 @@ func BenchmarkMixedWorkload(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures a coroutine sleep/wake round trip — two
-// goroutine handoffs over the single control channel per iteration.
+// carrier coroutine switches per iteration.
 func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	k := New()

@@ -19,11 +19,11 @@ import "fmt"
 // Kernel is a discrete-event simulator instance. The zero value is not
 // usable; construct with New.
 type Kernel struct {
-	now      uint64
-	seq      uint64
-	events   eventQueue
-	procs    []*Proc
-	live     int // procs spawned and not yet finished
+	now    uint64
+	seq    uint64
+	events eventQueue
+	procs  []*Proc
+	live   int // procs spawned and not yet finished
 
 	// Proc spawning support: block storage behind the *Proc pointers and
 	// the shared start/dispatch trampoline Go binds on first use (proc.go).
@@ -36,11 +36,11 @@ type Kernel struct {
 	procFn     func(uint64)
 	procArena0 [procArenaBlock]Proc
 	procs0     [procArenaBlock]*Proc
-	dom      int  // domain index within a parallel fabric; 0 for a solo kernel
-	stopped  bool
-	maxTick  uint64 // watchdog: Run panics past this tick (0 = unlimited)
-	executed uint64 // total events dispatched, for diagnostics
-	lastTick uint64 // tick of the last dispatched event (not moved by RunUntil)
+	dom        int // domain index within a parallel fabric; 0 for a solo kernel
+	stopped    bool
+	maxTick    uint64 // watchdog: Run panics past this tick (0 = unlimited)
+	executed   uint64 // total events dispatched, for diagnostics
+	lastTick   uint64 // tick of the last dispatched event (not moved by RunUntil)
 
 	// obs, when set, observes every dispatched event's (tick, seq) pair
 	// before its callback runs. Golden-trace tests use it to prove two
@@ -221,7 +221,8 @@ func (k *Kernel) Pending() int { return k.events.len() }
 // LiveProcs reports the number of spawned processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.live }
 
-// Drain releases any processes still parked so their goroutines can exit.
+// Drain unwinds any processes still parked so their carriers return to
+// the idle list.
 // Call it when abandoning a simulation early (e.g. RunUntil in tests);
 // a fully Run simulation needs no draining.
 func (k *Kernel) Drain() {

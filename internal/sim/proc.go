@@ -1,24 +1,27 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"sync"
+)
 
-// Proc is a cooperative simulation process. A Proc runs on its own
-// goroutine, but the kernel hands control to exactly one goroutine at a
-// time, so process bodies may touch shared simulator state without locks
-// and the interleaving is deterministic.
+// Proc is a cooperative simulation process. Its body runs on a carrier:
+// a pooled runtime coroutine (iter.Pull) that the kernel resumes with a
+// direct coroutine switch and that switches back when the body blocks.
+// Exactly one body runs at a time, on whichever goroutine is running the
+// kernel, so process bodies may touch shared simulator state without
+// locks and the interleaving is deterministic.
 //
 // A process body blocks simulated time only through the Proc methods
 // (Sleep, Wait, Yield); ordinary Go computation takes zero simulated time.
 type Proc struct {
-	k    *Kernel
-	name string
-	// sync is the single control-handoff channel. Kernel and process
-	// alternate strictly — the kernel sends to resume the process, the
-	// process sends to park itself — so one unbuffered channel carries
-	// both directions: at any moment at most one side is sending and the
-	// other receiving, and each wake or park is exactly one handoff.
-	sync     chan struct{}
-	body     func(p *Proc) // held until the start event runs, then released
+	k        *Kernel
+	name     string
+	c        *carrier      // set from the start event until the body ends
+	body     func(p *Proc) // held until the carrier starts the body, then released
 	idx      uint64        // procs index << 1: the kernel trampoline's dispatch arg
 	started  bool
 	finished bool
@@ -36,6 +39,80 @@ const procArenaBlock = 16
 // procAbort is the panic value used to unwind an abandoned process.
 type procAbort struct{}
 
+// carrier is a runtime coroutine that runs process bodies one after
+// another. The kernel side resumes it with next; the body side hands
+// control back with yield. Between bodies a carrier parks in yield with
+// p == nil and sits on the idle list, so spawning a process costs no
+// goroutine or coroutine allocation in steady state (iter.Pull allocates
+// about ten objects per call).
+type carrier struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process to run when next resumes an idle carrier
+}
+
+// maxIdleCarriers caps the idle list. It covers the processes of every
+// run a small worker pool keeps in flight, so batch sweeps recycle
+// carriers instead of creating them; carriers released beyond the cap
+// are stopped, which ends their coroutines.
+const maxIdleCarriers = 256
+
+// carriers is the process-wide idle list. It is not a sync.Pool: the
+// pool may drop entries at any GC, and a dropped parked coroutine is a
+// leaked goroutine.
+var carriers struct {
+	sync.Mutex
+	n    int
+	idle [maxIdleCarriers]*carrier
+}
+
+// getCarrier returns an idle carrier, creating one when the list is empty.
+func getCarrier() *carrier {
+	carriers.Lock()
+	if carriers.n > 0 {
+		carriers.n--
+		c := carriers.idle[carriers.n]
+		carriers.idle[carriers.n] = nil
+		carriers.Unlock()
+		return c
+	}
+	carriers.Unlock()
+	c := new(carrier)
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// putCarrier returns a carrier whose body has ended to the idle list, or
+// stops it when the list is full.
+func putCarrier(c *carrier) {
+	carriers.Lock()
+	if carriers.n < maxIdleCarriers {
+		carriers.idle[carriers.n] = c
+		carriers.n++
+		carriers.Unlock()
+		return
+	}
+	carriers.Unlock()
+	c.stop()
+}
+
+// loop is the carrier's coroutine body: run the assigned process, then
+// park until the kernel assigns the next one. A body's non-abort panic
+// escapes loop, which ends the coroutine; iter.Pull re-raises the panic
+// from next on the goroutine running the kernel, and the dead carrier is
+// never put back.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		c.p = nil
+		if !yield(struct{}{}) {
+			return // stopped while idle
+		}
+	}
+}
+
 // Go spawns a process that starts executing at the current tick.
 // The body runs until it returns; the kernel regains control whenever the
 // body blocks on a Proc method.
@@ -49,9 +126,8 @@ func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
 			p := k.procs[a>>1]
 			if a&1 != 0 {
 				p.started = true
-				b := p.body
-				p.body = nil // release the closure once the goroutine owns it
-				go p.run(b)
+				p.c = getCarrier()
+				p.c.p = p
 			}
 			p.dispatch()
 		}
@@ -66,7 +142,6 @@ func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
 	*p = Proc{
 		k:    k,
 		name: name,
-		sync: make(chan struct{}),
 		body: body,
 		idx:  uint64(len(k.procs)) << 1,
 	}
@@ -77,54 +152,61 @@ func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-func (p *Proc) run(body func(p *Proc)) {
+// run executes the body on the carrier. An abort unwind ends the body
+// like a return; any other panic propagates.
+func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(procAbort); ok {
-				p.finished = true
-				p.k.live--
-				p.sync <- struct{}{}
-				return
+			if _, ok := r.(procAbort); !ok {
+				panic(r)
 			}
-			panic(r)
 		}
+		p.finished = true
+		p.k.live--
 	}()
-	<-p.sync
-	body(p)
-	p.finished = true
-	p.k.live--
-	p.sync <- struct{}{}
+	b := p.body
+	p.body = nil // release the closure once the carrier owns it
+	b(p)
 }
 
-// dispatch transfers control from the kernel goroutine to the process and
-// waits until the process yields or finishes.
+// resume switches to the process's carrier and returns when the body
+// blocks or ends; an ended body's carrier goes back to the idle list.
+func (p *Proc) resume() {
+	c := p.c
+	c.next()
+	if p.finished {
+		p.c = nil
+		putCarrier(c)
+	}
+}
+
+// dispatch transfers control from the kernel to the process and returns
+// when the process yields or finishes.
 func (p *Proc) dispatch() {
 	if p.finished {
 		return
 	}
 	p.wakes++
-	p.sync <- struct{}{}
-	<-p.sync
+	p.resume()
 }
 
-// yield parks the process and returns control to the kernel goroutine.
+// yield parks the process and returns control to the kernel.
 // The process stays parked until some event calls dispatch again.
 func (p *Proc) yield() {
-	p.sync <- struct{}{}
-	<-p.sync
+	p.c.yield(struct{}{})
 	if p.aborted {
 		panic(procAbort{})
 	}
 }
 
-// abort unwinds a parked process so its goroutine exits. Kernel-side only.
+// abort unwinds a parked process so its carrier can be reused.
+// Kernel-side only.
 func (p *Proc) abort() {
 	if p.finished || !p.started {
 		return
 	}
 	p.aborted = true
-	p.sync <- struct{}{}
-	<-p.sync
+	p.resume()
 }
 
 // Name reports the process name given to Go.
@@ -159,16 +241,16 @@ func (p *Proc) armWait() uint64 { return p.cell.arm(p.idx) }
 // control back with Unpark. It is the blocking half of the
 // continuation-passing endpoint operations (internal/vlq): the operation
 // schedules its first step with AfterFunc, Parks the body, runs its
-// intermediate steps as plain events on the kernel goroutine, and the
-// final step calls Unpark — one goroutine handoff per operation instead
-// of one per step, with the event schedule unchanged.
+// intermediate steps as plain events on the kernel side, and the final
+// step calls Unpark — one coroutine switch per operation instead of one
+// per step, with the event schedule unchanged.
 func (p *Proc) Park() { p.yield() }
 
 // Unpark resumes a process parked with Park. It must be called from the
-// kernel goroutine (inside an event callback), never from another
-// process; control transfers to the parked body immediately and returns
-// here when the body next blocks — exactly as if the running event had
-// been the process's own wake event.
+// kernel side (inside an event callback), never from another process;
+// control transfers to the parked body immediately and returns here
+// when the body next blocks — exactly as if the running event had been
+// the process's own wake event.
 func (p *Proc) Unpark() { p.dispatch() }
 
 // WaitCell is the kernel-side analogue of a parked process: a wake token

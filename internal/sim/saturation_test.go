@@ -196,14 +196,17 @@ func TestFarHorizonInsertDuringRun(t *testing.T) {
 // runnable while events stayed pending — a barrier livelock.
 func TestParallelFarFutureTermination(t *testing.T) {
 	pk := NewParallel(3, 7, 2)
-	var fired int
+	// One counter per domain: domains run on different lane goroutines.
+	var perDomain [3]int
 	max := ^uint64(0)
 	for d := 0; d < 3; d++ {
-		pk.Domain(d).At(100+uint64(d), func() { fired++ })
-		pk.Domain(d).At(max-uint64(d), func() { fired++ })
-		pk.Domain(d).At(max, func() { fired++ })
+		n := &perDomain[d]
+		pk.Domain(d).At(100+uint64(d), func() { *n++ })
+		pk.Domain(d).At(max-uint64(d), func() { *n++ })
+		pk.Domain(d).At(max, func() { *n++ })
 	}
 	pk.Run()
+	fired := perDomain[0] + perDomain[1] + perDomain[2]
 	if fired != 9 {
 		t.Fatalf("fired %d events, want 9", fired)
 	}
