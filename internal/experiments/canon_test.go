@@ -122,19 +122,41 @@ func TestHashSpecsOrderMatters(t *testing.T) {
 	}
 }
 
-// TestHashDomainsCollapse: every positive domains value hashes alike
-// (worker-lane count is an execution detail, proven trace-invariant by
-// TestGoldenParallelTrace), while 0 — the sequential kernel, a
-// different timing model — hashes differently.
-func TestHashDomainsCollapse(t *testing.T) {
-	base := Spec{Benchmark: "FIR", Algorithms: []string{"vl"}}
-	d1, d4 := base, base
-	d1.Domains = 1
-	d4.Domains = 4
-	if d1.Hash() != d4.Hash() {
-		t.Error("domains=1 and domains=4 hash differently")
+// TestHashSpecsPinned pins the content addresses of three specs — a
+// named benchmark, an open-loop shape, and the shuffle DAG scenario —
+// to the values they had before the multi-domain kernel and its domains
+// knob were removed. The service result cache and the fabric store are
+// keyed on these hashes, so a canonical-form change that moves them
+// silently invalidates every stored result.
+func TestHashSpecsPinned(t *testing.T) {
+	read := func(src string) []Spec {
+		t.Helper()
+		specs, err := ReadSpecs(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return specs
 	}
-	if base.Hash() == d1.Hash() {
-		t.Error("domains=0 (sequential) hashes like domains=1 (parallel model)")
+	named := read(`{"benchmark":"FIR","algorithms":["vl","tuned"]}`)
+	open := read(`{"shape":{"stages":2,"messages":64,"lines":4,"window":8,` +
+		`"arrival":{"process":"poisson","seed":7,"mean_gap":400,"users":4}}}`)
+	shuffle := []Spec{loadScenario(t, "shuffle.json")}
+	for _, tc := range []struct {
+		name  string
+		specs []Spec
+		want  string
+	}{
+		{"named", named, "efa0e5f7e5f826460b5de9cf54b227da7d0be31187db4ba24ec21af5fb028f3e"},
+		{"open-loop", open, "c4c2668f6121ab383bc63d955533b6882b518da72018fea6a74ad1287faa251b"},
+		{"shuffle", shuffle, "432418d5321da97216ce7f6be761e084e89c7548115554a1b3dd714929fb7461"},
+	} {
+		for i := range tc.specs {
+			if err := tc.specs[i].Validate(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if got := HashSpecs(tc.specs); got != tc.want {
+			t.Errorf("%s: HashSpecs = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -32,7 +32,7 @@ type Spec struct {
 	Devices    int              `json:"devices,omitempty"`
 	NoInline   bool             `json:"no_inline,omitempty"`
 	SRDEntries int              `json:"srd_entries,omitempty"`
-	Domains    int              `json:"domains,omitempty"` // >0: multi-domain kernel with this many worker lanes
+	Domains    int              `json:"domains,omitempty"` // removed knob: Validate rejects any non-zero value
 	Tuned      *TunedSpec       `json:"tuned,omitempty"`
 	Repeat     int              `json:"repeat,omitempty"` // determinism check
 	Label      string           `json:"label,omitempty"`
@@ -90,21 +90,6 @@ type Outcome struct {
 	PushesIssued   uint64  `json:"pushes_issued"`
 	Fetches        uint64  `json:"fetches"`
 	Deterministic  *bool   `json:"deterministic,omitempty"` // set when Repeat > 1
-
-	// Parallel carries the multi-domain kernel's telemetry on runs with
-	// Domains > 0; sequential runs omit it. Every field is a pure
-	// function of the model and lookahead — never of lane count or
-	// scheduling timing — so outcome JSON stays byte-identical across
-	// Domains settings (the repeat/determinism checks rely on that).
-	Parallel *ParallelOutcome `json:"parallel,omitempty"`
-}
-
-// ParallelOutcome is the JSON form of sim.ParallelStats.
-type ParallelOutcome struct {
-	Quanta         uint64 `json:"quanta"`
-	WindowsSkipped uint64 `json:"windows_skipped"`
-	CrossMessages  uint64 `json:"cross_messages"`
-	UndeliveredHW  uint64 `json:"undelivered_hw"`
 }
 
 // Validate checks a spec before running.
@@ -143,17 +128,10 @@ func (s *Spec) Validate() error {
 	if s.Scale < 0 || s.Repeat < 0 {
 		return fmt.Errorf("experiments: negative scale/repeat")
 	}
-	if s.Domains < 0 {
-		return fmt.Errorf("experiments: negative domains")
-	}
-	if s.Domains > 0 {
-		w, _ := s.workload()
-		if !w.ParallelSafe {
-			return fmt.Errorf("experiments: benchmark %q is not parallel-safe (domains must be 0)", w.Name)
-		}
-		if s.Fault.armed() {
-			return fmt.Errorf("experiments: fault injection requires the sequential kernel (domains must be 0)")
-		}
+	if s.Domains != 0 {
+		// Ignoring the field would run a different timing model than the
+		// client asked for, under the same label.
+		return fmt.Errorf("experiments: domains %d is not supported: the multi-domain kernel was removed and every run uses the sequential kernel (omit domains)", s.Domains)
 	}
 	return nil
 }
@@ -195,7 +173,6 @@ func (s *Spec) systemConfig(alg string) spamer.Config {
 		BusChannels: s.Channels,
 		Devices:     s.Devices,
 		NoInline:    s.NoInline,
-		Domains:     s.Domains,
 		Deadline:    1 << 40,
 	}
 	if s.Fault != nil {
@@ -212,13 +189,6 @@ func (s *Spec) systemConfig(alg string) spamer.Config {
 		}
 	}
 	return cfg
-}
-
-// EffectiveDomains reports the worker-lane count runs of this spec will
-// use: the Domains field as the simulator resolves it (0 = the
-// sequential reference kernel).
-func (s *Spec) EffectiveDomains() int {
-	return s.systemConfig(spamer.AlgBaseline).EffectiveDomains()
 }
 
 // Run executes the spec, returning one Outcome per algorithm.
@@ -271,14 +241,6 @@ func (s *Spec) runAlg(w *workloads.Workload, alg string, scale int) (Outcome, sp
 		BusUtilization: res.BusUtilization,
 		PushesIssued:   res.Device.TotalPushes(),
 		Fetches:        res.Device.Fetches,
-	}
-	if s.systemConfig(alg).EffectiveDomains() > 0 {
-		o.Parallel = &ParallelOutcome{
-			Quanta:         res.Parallel.Quanta,
-			WindowsSkipped: res.Parallel.WindowsSkipped,
-			CrossMessages:  res.Parallel.CrossMessages,
-			UndeliveredHW:  res.Parallel.UndeliveredHW,
-		}
 	}
 	if s.Repeat > 1 {
 		det := true

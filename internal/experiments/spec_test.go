@@ -43,10 +43,8 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"unknown algorithm", Spec{Benchmark: "FIR", Algorithms: []string{"bogus"}}, `unknown algorithm "bogus"`},
 		{"negative scale", Spec{Benchmark: "FIR", Scale: -1}, "negative scale/repeat"},
 		{"negative repeat", Spec{Benchmark: "FIR", Repeat: -2}, "negative scale/repeat"},
-		{"negative domains", Spec{Benchmark: "FIR", Domains: -1}, "negative domains"},
-		{"domains on unsafe benchmark", Spec{Benchmark: "incast", Domains: 2}, "not parallel-safe"},
-		{"fault on parallel kernel", Spec{Benchmark: "FIR", Domains: 2, Fault: &FaultSpec{DropStash: 1}},
-			"fault injection requires the sequential kernel"},
+		{"domains set", Spec{Benchmark: "FIR", Domains: 2}, "multi-domain kernel was removed"},
+		{"negative domains", Spec{Benchmark: "FIR", Domains: -1}, "multi-domain kernel was removed"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -54,9 +52,8 @@ func TestSpecValidateErrors(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want mention of %q", c.name, err, c.want)
 		}
 	}
-	// The sequential-kernel restriction only binds an armed fault: a
-	// zero-drop FaultSpec is inert and must not invalidate domains.
-	ok := Spec{Benchmark: "FIR", Domains: 2, Fault: &FaultSpec{}}
+	// A zero-drop FaultSpec is inert and must validate.
+	ok := Spec{Benchmark: "FIR", Fault: &FaultSpec{}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("inert fault rejected: %v", err)
 	}

@@ -21,7 +21,7 @@ func TestDistributedCheckerAgreesOnSeededCases(t *testing.T) {
 	checked := 0
 	for i := 0; i < 8; i++ {
 		seed := caseSeed(0xD15C0, i)
-		cs := gen.New(seed).Case(nil)
+		cs := gen.New(seed).Case()
 		cs.Seed = seed
 		vs, runs := dc.Check(cs)
 		if runs == 0 {
@@ -47,7 +47,7 @@ func TestDistributedCheckerAgreesOnFaultedCase(t *testing.T) {
 	}
 	defer dc.Close()
 
-	cs := gen.New(7).ChainCase(nil)
+	cs := gen.New(7).ChainCase()
 	fault := cs.Spec.Fault
 	if fault != nil {
 		t.Fatal("generator unexpectedly set a fault; test needs to inject its own")
@@ -70,7 +70,6 @@ func TestCampaignWithWorkers(t *testing.T) {
 	res, err := Campaign(CampaignOptions{
 		Seed:     3,
 		N:        4,
-		Domains:  []int{1, 2},
 		ReproDir: t.TempDir(),
 		Workers:  2,
 		Log:      &log,

@@ -364,49 +364,29 @@ func TestMultiSpecJobKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestDomainsReportedAndCacheCollapse: a multi-domain job reports its
-// effective worker-lane count in status, and two jobs differing only in
-// a positive domains value share one cache entry — the worker-lane
-// count is an execution detail, proven trace-invariant by the golden
-// tests, so it must not fragment the result cache. A sequential
-// (domains absent) job of the same spec stays a distinct entry: the
-// sequential kernel is a different timing model.
-func TestDomainsReportedAndCacheCollapse(t *testing.T) {
+// TestRejectDomains: a spec that still sets domains is rejected at
+// admission with a 400 naming the removed kernel, whatever the
+// benchmark. Silently ignoring the field would answer with the
+// sequential model under the label the client gave a multi-domain run.
+func TestRejectDomains(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	code, st := submit(t, ts, `{"benchmark":"ping-pong","algorithms":["vl"],"label":"t","domains":2}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d, want 202", code)
-	}
-	final := waitState(t, ts, st.ID, StateDone)
-	if len(final.Domains) != 1 || final.Domains[0] != 2 {
-		t.Fatalf("status domains = %v, want [2]", final.Domains)
-	}
-
-	code, st2 := submit(t, ts, `{"benchmark":"ping-pong","algorithms":["vl"],"label":"t","domains":4}`)
-	if code != http.StatusOK {
-		t.Fatalf("domains=4 resubmit = %d, want 200 (cache hit)", code)
-	}
-	if st2.SpecHash != st.SpecHash || !st2.Cached {
-		t.Fatalf("domains=4 status: %+v (hash %q vs %q)", st2, st2.SpecHash, st.SpecHash)
-	}
-
-	code, st3 := submit(t, ts, fastSpec)
-	if code != http.StatusAccepted {
-		t.Fatalf("sequential submit = %d, want 202 (distinct model, no cache hit)", code)
-	}
-	if st3.SpecHash == st.SpecHash {
-		t.Fatalf("sequential spec hashed like domains=2: %q", st3.SpecHash)
-	}
-	waitState(t, ts, st3.ID, StateDone)
-}
-
-// TestRejectDomainsOnUnsafeBenchmark: benchmarks outside the
-// parallel-safe set are rejected at admission when domains > 0.
-func TestRejectDomainsOnUnsafeBenchmark(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	code, _ := submit(t, ts, `{"benchmark":"incast","domains":2}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("incast domains=2 submit = %d, want 400", code)
+	for _, body := range []string{
+		`{"benchmark":"ping-pong","algorithms":["vl"],"domains":2}`,
+		`{"benchmark":"incast","domains":1}`,
+		`[{"benchmark":"FIR"},{"benchmark":"FIR","domains":-1}]`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: submit = %d, want 400", body, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), "multi-domain kernel was removed") {
+			t.Fatalf("%s: error body %q does not say the kernel was removed", body, msg)
+		}
 	}
 }
 

@@ -97,6 +97,14 @@ func putCarrier(c *carrier) {
 	c.stop()
 }
 
+// IdleCarriers reports how many carriers sit on the idle list. Leak
+// tests compare it before and after a batch of runs.
+func IdleCarriers() int {
+	carriers.Lock()
+	defer carriers.Unlock()
+	return carriers.n
+}
+
 // loop is the carrier's coroutine body: run the assigned process, then
 // park until the kernel assigns the next one. A body's non-abort panic
 // escapes loop, which ends the coroutine; iter.Pull re-raises the panic
