@@ -103,29 +103,31 @@ MM_RACE_ITERS ?= 20000x
 bench-race:
 	$(GO) test -race -run=NONE -bench=MillionMessage -benchmem -benchtime=$(MM_RACE_ITERS) .
 
-# Regenerate every evaluation artifact to stdout.
+# Regenerate every evaluation artifact to stdout. Each target is one
+# spamer-run subcommand; TestPaperOutputGolden (cmd/spamer-run) pins the
+# stdout of repro, ablate and tune byte for byte.
 repro: figures trace sweep latency area
 
 figures:
-	$(GO) run ./cmd/spamer-bench
+	$(GO) run ./cmd/spamer-run bench
 
 trace:
-	$(GO) run ./cmd/spamer-trace
+	$(GO) run ./cmd/spamer-run trace
 
 sweep:
-	$(GO) run ./cmd/spamer-sweep
+	$(GO) run ./cmd/spamer-run sweep
 
 latency:
-	$(GO) run ./cmd/spamer-latency
+	$(GO) run ./cmd/spamer-run latency
 
 area:
-	$(GO) run ./cmd/spamer-area
+	$(GO) run ./cmd/spamer-run area
 
 ablate:
-	$(GO) run ./cmd/spamer-ablate
+	$(GO) run ./cmd/spamer-run ablate
 
 tune:
-	$(GO) run ./cmd/spamer-tune
+	$(GO) run ./cmd/spamer-run tune
 
 # End-to-end fabric exercise with real processes (docs/FABRIC.md):
 # coordinator + two workers, a golden batch byte-compared against a

@@ -78,7 +78,15 @@ func main() {
 		CacheEntries: *cacheEntries,
 		Fabric:       coord,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// A client that stalls mid-header or idles on a keep-alive
+	// connection is cut off. There is no WriteTimeout: it would also
+	// cut long-lived responses such as the SSE event streams.
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()

@@ -72,7 +72,15 @@ func main() {
 		RunTimeout:  *runTimeout,
 		Log:         os.Stderr,
 	})
-	hs := &http.Server{Addr: *addr, Handler: w.Handler()}
+	// A client that stalls mid-header or idles on a keep-alive
+	// connection is cut off. There is no WriteTimeout: it would also
+	// cut long-lived responses such as the SSE event streams.
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           w.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()

@@ -1,7 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section from the simulator. Each experiment returns plain
-// data; cmd/* renders it with internal/report, and the root bench suite
-// wraps each in a testing.B benchmark.
+// data; the spamer-run subcommands render it with internal/report, and
+// the root bench suite wraps each in a testing.B benchmark. A study
+// that runs many simulations takes a context and harness.Options, fans
+// its runs across the harness pool and returns the first failure as an
+// error.
 package experiments
 
 import (
@@ -12,7 +15,6 @@ import (
 
 	"spamer"
 	"spamer/internal/config"
-	"spamer/internal/core"
 	"spamer/internal/energy"
 	"spamer/internal/harness"
 	"spamer/internal/swqueue"
@@ -28,16 +30,33 @@ type Matrix struct {
 	Results    map[string]map[string]spamer.Result
 }
 
-// RunMatrix executes every benchmark under every configuration. It
-// fans the independent cells across the harness pool; results are
-// identical to a sequential loop (each cell is a deterministic,
-// single-threaded system).
-func RunMatrix(scale int) *Matrix {
-	m, err := RunMatrixParallel(context.Background(), scale, harness.Options{})
-	if err != nil {
-		panic(err)
+// RunMatrix executes every benchmark under every configuration on the
+// harness pool. The cells are independent, deterministic systems, so
+// the matrix is identical at any worker count.
+func RunMatrix(ctx context.Context, scale int, opts harness.Options) (*Matrix, error) {
+	m := &Matrix{
+		Benchmarks: workloads.Names(),
+		Configs:    spamer.Configs(),
+		Results:    map[string]map[string]spamer.Result{},
 	}
-	return m
+	var runs []studyRun
+	for _, w := range workloads.All() {
+		for _, alg := range m.Configs {
+			runs = append(runs, studyRun{w.Name + "/" + alg, w, spamer.Config{Algorithm: alg}})
+		}
+	}
+	results, err := runStudy(ctx, runs, scale, opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range results {
+		b, alg := runs[i].w.Name, runs[i].cfg.Algorithm
+		if m.Results[b] == nil {
+			m.Results[b] = map[string]spamer.Result{}
+		}
+		m.Results[b][alg] = r
+	}
+	return m, nil
 }
 
 // Speedup returns benchmark b's speedup of alg over the VL baseline.
@@ -233,17 +252,50 @@ func Figure11Grid() []config.TunedParams {
 // Figure11 sweeps one benchmark: baseline, the three named algorithms,
 // and the tuned-parameter grid, returning normalized (delay, energy)
 // points. The baseline is the (1, 1) reference. Runs fan across the
-// harness pool.
-func Figure11(benchName string, scale int) ([]Figure11Point, error) {
-	return Figure11Parallel(context.Background(), benchName, scale, harness.Options{})
+// harness pool; normalization happens after assembly.
+func Figure11(ctx context.Context, benchName string, scale int, opts harness.Options) ([]Figure11Point, error) {
+	w, ok := workloads.ByName(benchName)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown benchmark %q", benchName)
+	}
+	runs := []studyRun{{benchName + "/vl", w, spamer.Config{Algorithm: spamer.AlgBaseline}}}
+	for _, alg := range []string{spamer.AlgZeroDelay, spamer.AlgAdaptive, spamer.AlgTuned} {
+		runs = append(runs, studyRun{benchName + "/" + alg, w, spamer.Config{Algorithm: alg}})
+	}
+	for _, p := range Figure11Grid() {
+		if p == config.DefaultTuned() {
+			continue // already covered by the named tuned point
+		}
+		runs = append(runs, studyRun{benchName + "/tuned{" + p.String() + "}", w,
+			spamer.Config{Algorithm: spamer.AlgTuned, Tuned: p}})
+	}
+	results, err := runStudy(ctx, runs, scale, opts)
+	if err != nil {
+		return nil, err
+	}
+
+	base := results[0]
+	points := []Figure11Point{{Label: "VL(baseline)", DelayNorm: 1, EnergyNorm: 1}}
+	for i, r := range runs[1:] {
+		pt := Figure11Point{
+			Label:      "SPAMeR(" + r.cfg.Algorithm + ")",
+			DelayNorm:  energy.DelayNorm(results[1+i], base),
+			EnergyNorm: energy.EnergyNorm(results[1+i], base),
+		}
+		if p := r.cfg.Tuned; p != (config.TunedParams{}) {
+			pt.Label, pt.Params = "tuned{"+p.String()+"}", p
+		}
+		points = append(points, pt)
+	}
+	return points, nil
 }
 
 // ---------------------------------------------------------------------
 // §4.3 inlining study and §4.5 area/power.
 // ---------------------------------------------------------------------
 
-// InlineStudy measures the library-inlining speedup per benchmark
-// (paper: 1.02x average) on the VL baseline.
+// InlineStudyRow is one benchmark's library-inlining speedup on the VL
+// baseline (paper: 1.02x average).
 type InlineStudyRow struct {
 	Benchmark string
 	Speedup   float64
@@ -251,12 +303,24 @@ type InlineStudyRow struct {
 
 // InlineStudy runs every benchmark with and without inlined queue
 // functions, fanned across the harness pool.
-func InlineStudy(scale int) []InlineStudyRow {
-	rows, err := InlineStudyParallel(context.Background(), scale, harness.Options{})
-	if err != nil {
-		panic(err)
+func InlineStudy(ctx context.Context, scale int, opts harness.Options) ([]InlineStudyRow, error) {
+	all := workloads.All()
+	var runs []studyRun
+	for _, w := range all {
+		runs = append(runs,
+			studyRun{w.Name + "/called", w, spamer.Config{Algorithm: spamer.AlgBaseline, NoInline: true}},
+			studyRun{w.Name + "/inlined", w, spamer.Config{Algorithm: spamer.AlgBaseline}})
 	}
-	return rows
+	results, err := runStudy(ctx, runs, scale, opts)
+	if err != nil {
+		return nil, err
+	}
+	var rows []InlineStudyRow
+	for i, w := range all {
+		called, inlined := results[2*i], results[2*i+1]
+		rows = append(rows, InlineStudyRow{Benchmark: w.Name, Speedup: inlined.Speedup(called)})
+	}
+	return rows, nil
 }
 
 // AreaPower bundles the §4.5 estimates for a measured matrix: the area
@@ -280,13 +344,4 @@ func Section45(m *Matrix) AreaPower {
 		ap.PowerByAlg[alg] = energy.Power(worst)
 	}
 	return ap
-}
-
-// AlgorithmsLegend names the delay algorithms for display.
-func AlgorithmsLegend() []string {
-	out := []string{}
-	for _, a := range core.Algorithms() {
-		out = append(out, a.Name())
-	}
-	return out
 }

@@ -28,18 +28,18 @@ func TestParallelRunsBitIdenticalToSequential(t *testing.T) {
 		seq = append(seq, w.Run(spamer.Config{Algorithm: alg, Deadline: 1 << 40}, 1))
 	}
 
-	var tasks []harness.Task[spamer.Result]
+	var runs []studyRun
 	for _, alg := range algs {
-		tasks = append(tasks, runTask(w, spamer.Config{Algorithm: alg, Deadline: 1 << 40}, 1, alg))
+		runs = append(runs, studyRun{alg, w, spamer.Config{Algorithm: alg}})
 	}
-	outs, m := harness.Run(context.Background(), tasks, harness.Options{Workers: 8})
-	if m.Failed != 0 {
-		t.Fatalf("failures: %+v", m)
+	par, err := runStudy(context.Background(), runs, 1, harness.Options{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, o := range outs {
-		if o.Value != seq[i] {
+	for i, r := range par {
+		if r != seq[i] {
 			t.Fatalf("parallel run %d (%s) diverged:\nparallel:   %+v\nsequential: %+v",
-				i, algs[i], o.Value, seq[i])
+				i, algs[i], r, seq[i])
 		}
 	}
 }
@@ -47,11 +47,11 @@ func TestParallelRunsBitIdenticalToSequential(t *testing.T) {
 // TestFigure11ParallelDeterministic: the assembled points are identical
 // at any worker count.
 func TestFigure11ParallelDeterministic(t *testing.T) {
-	one, err := Figure11Parallel(context.Background(), "ping-pong", 1, harness.Options{Workers: 1})
+	one, err := Figure11(context.Background(), "ping-pong", 1, harness.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Figure11Parallel(context.Background(), "ping-pong", 1, harness.Options{Workers: 8})
+	many, err := Figure11(context.Background(), "ping-pong", 1, harness.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFigure11ParallelDeterministic(t *testing.T) {
 func TestRunMatrixParallelCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunMatrixParallel(ctx, 1, harness.Options{Workers: 4})
+	_, err := RunMatrix(ctx, 1, harness.Options{Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -86,7 +86,7 @@ func BenchmarkHarnessMatrix(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunMatrixParallel(context.Background(), 1, harness.Options{Workers: workers}); err != nil {
+				if _, err := RunMatrix(context.Background(), 1, harness.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -180,7 +180,7 @@ func (s *Spec) systemConfig(alg string) spamer.Config {
 		cfg.FaultCorruptStash = s.Fault.CorruptStash
 	}
 	if s.SRDEntries > 0 {
-		cfg.SRD = vl.Config{ProdEntries: s.SRDEntries, ConsEntries: s.SRDEntries, LinkEntries: maxInt(s.SRDEntries, 64)}
+		cfg.SRD = vl.Config{ProdEntries: s.SRDEntries, ConsEntries: s.SRDEntries, LinkEntries: max(s.SRDEntries, 64)}
 	}
 	if s.Tuned != nil && alg == spamer.AlgTuned {
 		cfg.Tuned = config.TunedParams{

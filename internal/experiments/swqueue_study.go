@@ -28,13 +28,31 @@ type SoftwareQueueStudyRow struct {
 }
 
 // SoftwareQueueStudy runs both workloads through all three stacks,
-// fanned across the harness pool.
-func SoftwareQueueStudy() []SoftwareQueueStudyRow {
-	rows, err := SoftwareQueueStudyParallel(context.Background(), harness.Options{})
-	if err != nil {
-		panic(err)
+// the six independent builds fanned across the harness pool.
+func SoftwareQueueStudy(ctx context.Context, opts harness.Options) ([]SoftwareQueueStudyRow, error) {
+	tasks := []harness.Task[uint64]{
+		{Label: "chain3/sw", Run: func(context.Context) (uint64, error) { return swChain(), nil }},
+		{Label: "chain3/vl", Run: func(context.Context) (uint64, error) { return hwChain(spamer.AlgBaseline), nil }},
+		{Label: "chain3/spamer", Run: func(context.Context) (uint64, error) { return hwChain(spamer.AlgZeroDelay), nil }},
+		{Label: "incast4/sw", Run: func(context.Context) (uint64, error) { return swIncast(), nil }},
+		{Label: "incast4/vl", Run: func(context.Context) (uint64, error) { return hwIncast(spamer.AlgBaseline), nil }},
+		{Label: "incast4/spamer", Run: func(context.Context) (uint64, error) { return hwIncast(spamer.AlgZeroDelay), nil }},
 	}
-	return rows
+	outs, _ := harness.Run(ctx, tasks, opts)
+	ticks, err := harness.Values(outs)
+	if err != nil {
+		return nil, err
+	}
+	rows := []SoftwareQueueStudyRow{
+		{Workload: "chain3", SWTicks: ticks[0], VLTicks: ticks[1], SpTicks: ticks[2]},
+		{Workload: "incast4", SWTicks: ticks[3], VLTicks: ticks[4], SpTicks: ticks[5]},
+	}
+	for i := range rows {
+		r := &rows[i]
+		r.VLOverSW = float64(r.SWTicks) / float64(r.VLTicks)
+		r.SpOverSW = float64(r.SWTicks) / float64(r.SpTicks)
+	}
+	return rows, nil
 }
 
 const (

@@ -251,16 +251,6 @@ func Workers(n int) int {
 	return n
 }
 
-// FirstError returns the first failed outcome's error, or nil.
-func FirstError[T any](outs []Outcome[T]) error {
-	for _, o := range outs {
-		if o.Err != nil {
-			return o.Err
-		}
-	}
-	return nil
-}
-
 // Values unwraps successful outcomes in submission order, returning the
 // first failure alongside the values collected so far.
 func Values[T any](outs []Outcome[T]) ([]T, error) {

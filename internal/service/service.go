@@ -98,7 +98,10 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts    Options
 	metrics *metrics
-	cache   *cache
+	// cache is the per-job result cache: HashSpecs of the whole spec
+	// list → the outcomes it produced. The fabric Store below it is
+	// keyed per spec.
+	cache *fabric.Store
 
 	queue    chan *job
 	stop     chan struct{} // closed once the queue has fully drained
@@ -125,12 +128,12 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		metrics: newMetrics(),
-		cache:   newCache(opts.CacheEntries),
+		cache:   fabric.NewStore(opts.CacheEntries),
 		queue:   make(chan *job, opts.QueueDepth),
 		stop:    make(chan struct{}),
 		jobs:    map[string]*job{},
 	}
-	s.metrics.cacheEntries = s.cache.len
+	s.metrics.cacheEntries = s.cache.Len
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	for i := 0; i < opts.JobWorkers; i++ {
 		s.workers.Add(1)
@@ -156,7 +159,7 @@ func (s *Server) submit(specs []experiments.Spec) (*job, error) {
 		return nil, errDraining
 	}
 
-	if outcomes, ok := s.cache.get(hash); ok {
+	if outcomes, ok := s.cache.Get(hash); ok {
 		s.metrics.cacheHits.Add(1)
 		j := newJob(s.nextID(hash), hash, specs, totalRuns(specs))
 		j.completeCached(outcomes)
@@ -270,7 +273,7 @@ func (s *Server) execute(j *job) {
 	}
 	clean := len(errs) == 0
 	if clean {
-		s.cache.put(j.hash, outcomes)
+		s.cache.Put(j.hash, outcomes)
 		s.metrics.jobsDone.Add(1)
 	} else {
 		s.metrics.jobsFailed.Add(1)
